@@ -48,7 +48,8 @@ lowmem:
 bigtable:
 	$(GO) test ./internal/services/ -run 'TestBigTableStoredScan' -count=1
 
-## bench: the engine micro-benchmarks (codec, producer, volcano vs batch).
+## bench: the engine micro-benchmarks (codec, producer, operator chains,
+## spill, stored scan, bus, monitoring overhead).
 bench:
 	$(GO) test ./internal/microbench/ -bench . -benchmem -run xxx
 

@@ -15,8 +15,9 @@
 // runs the paper measured.
 //
 // With -micro, the command instead runs the engine micro-benchmarks (tuple
-// codec, exchange producer, volcano-vs-batch operator chain) and writes the
-// results as JSON to the given file.
+// codec, exchange producer, serial and morsel-parallel operator chains,
+// spill, stored scan, bus and monitoring overhead) and writes the results
+// as JSON to the given file.
 //
 // With -serve, it runs the sustained-load serving benchmark — N concurrent
 // clients firing repeated-shape queries for a fixed duration, once with the

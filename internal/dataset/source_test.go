@@ -7,25 +7,34 @@ import (
 	"repro/internal/storage"
 )
 
-// drainTable reads a table through its cursor.
+// drainTable reads a stored table block by block, decoding each block's
+// tuples in storage order.
 func drainTable(t *testing.T, tbl *Table) []relation.Tuple {
 	t.Helper()
-	cur, err := tbl.Rows()
-	if err != nil {
-		t.Fatal(err)
+	r, ok, err := tbl.OpenBlocks()
+	if err != nil || !ok {
+		t.Fatalf("OpenBlocks: ok=%v err=%v", ok, err)
 	}
-	defer cur.Close()
+	defer r.Close()
 	var out []relation.Tuple
-	for {
-		tp, ok, err := cur.Next()
+	for i := 0; i < r.Blocks(); i++ {
+		data, err := r.ReadBlock(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			return out
+		n, rest, err := relation.TupleCount(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out = append(out, tp)
+		for ; n > 0; n-- {
+			var tp relation.Tuple
+			if tp, rest, err = relation.DecodeTuple(rest); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tp)
+		}
 	}
+	return out
 }
 
 func TestStoredTablesMatchInMemoryGenerators(t *testing.T) {
@@ -86,17 +95,16 @@ func TestStoredTableOnPosixBackend(t *testing.T) {
 			t.Fatalf("tuple %d diverged on posix", i)
 		}
 	}
-	// A second independent cursor re-reads from the start.
+	// A second independent reader re-reads from the start.
 	again := drainTable(t, stored)
 	if len(again) != 50 {
-		t.Fatalf("second cursor read %d tuples", len(again))
+		t.Fatalf("second reader read %d tuples", len(again))
 	}
 }
 
-func TestSliceCursorMatchesTuples(t *testing.T) {
-	tbl := ProteinSequences(10, 1)
-	got := drainTable(t, tbl)
-	if len(got) != len(tbl.Tuples) {
-		t.Fatalf("cursor read %d of %d", len(got), len(tbl.Tuples))
+func TestInMemoryTableHasNoBlocks(t *testing.T) {
+	r, ok, err := ProteinSequences(10, 1).OpenBlocks()
+	if r != nil || ok || err != nil {
+		t.Fatalf("in-memory OpenBlocks = %v, %v, %v; want nil, false, nil", r, ok, err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // runBytes concatenates every block payload of a stored run — the raw
 // generator output after framing, used for byte-identity assertions.
-func runBytes(t *testing.T, b storage.BlockBackend, name string) []byte {
+func runBytes(t *testing.T, b storage.Backend, name string) []byte {
 	t.Helper()
 	r, err := b.OpenBlocks(name)
 	if err != nil {

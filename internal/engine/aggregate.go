@@ -224,7 +224,7 @@ func (a *HashAggregate) Abort() {
 }
 
 // Open implements Iterator. Unlike the join's build phase, absorption
-// happens lazily in Next so that it interleaves with control operations.
+// happens lazily in NextBatch so that it interleaves with control operations.
 func (a *HashAggregate) Open(ctx *ExecContext) error {
 	a.ctx = ctx
 	s := a.ensureShared()
@@ -280,7 +280,7 @@ func (a *HashAggregate) drainChild() error {
 	a.in.SetLimit(batchLimit(a.ctx, relation.DefaultBatchSize))
 	prev := a.ctx.Meter.ChargedMs()
 	for {
-		n, err := FillBatch(a.Child, a.in)
+		n, err := a.Child.NextBatch(a.in)
 		if err != nil {
 			return err
 		}
@@ -312,28 +312,7 @@ func (a *HashAggregate) drainChild() error {
 	}
 }
 
-// Next implements Iterator: it drains the child (absorbing every tuple into
-// group state), then emits one row per group from the shared cursor.
-func (a *HashAggregate) Next() (relation.Tuple, bool, error) {
-	if !a.emitting {
-		if err := a.drain(); err != nil {
-			return nil, false, err
-		}
-	}
-	s := a.shared
-	s.mu.Lock()
-	if s.pos >= len(s.out) {
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	t := s.out[s.pos]
-	s.pos++
-	s.mu.Unlock()
-	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs)
-	return t, true, nil
-}
-
-// NextBatch implements BatchIterator: the absorb phase consumes whole input
+// NextBatch implements Iterator: the absorb phase consumes whole input
 // batches with one charge bundle per batch; the emit phase hands out result
 // rows by reference, workers pulling disjoint runs from the shared cursor.
 func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
@@ -342,21 +321,9 @@ func (a *HashAggregate) NextBatch(dst *relation.Batch) (int, error) {
 			return 0, err
 		}
 	}
-	dst.Rewind()
 	s := a.shared
 	s.mu.Lock()
-	n := len(s.out) - s.pos
-	if n <= 0 {
-		s.mu.Unlock()
-		return 0, nil
-	}
-	if c := dst.Cap(); n > c {
-		n = c
-	}
-	for _, t := range s.out[s.pos : s.pos+n] {
-		dst.Append(t)
-	}
-	s.pos += n
+	n := len(emitSlice(dst, s.out, &s.pos))
 	s.mu.Unlock()
 	a.ctx.chargeFlat(a.ctx.Costs.ProjectMs * float64(n))
 	return n, nil
@@ -685,49 +652,60 @@ func (s *Sort) Open(ctx *ExecContext) error {
 	return s.Child.Open(ctx)
 }
 
-// Next implements Iterator.
-func (s *Sort) Next() (relation.Tuple, bool, error) {
+// NextBatch implements Iterator: the first call absorbs the whole input,
+// then each call emits up to dst.Cap() rows in order.
+func (s *Sort) NextBatch(dst *relation.Batch) (int, error) {
 	if !s.done {
-		spill := s.ctx.spillEnabled()
-		for {
-			t, ok, err := s.Child.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			s.ctx.chargeFlat(s.ctx.Costs.SortMs)
-			s.sorted = append(s.sorted, t)
-			if spill {
-				sz := sortTupleBytes(t)
-				s.bufBytes += sz
-				s.acct.Reserve(sz)
-				if s.acct.Over() {
-					if err := s.flushRun(); err != nil {
-						return nil, false, err
-					}
-				}
-			}
-		}
-		if len(s.runs) > 0 {
-			if err := s.startMerge(); err != nil {
-				return nil, false, err
-			}
-		} else {
-			sortBuffer(s)
+		if err := s.absorb(); err != nil {
+			return 0, err
 		}
 		s.done = true
 	}
 	if s.merge != nil {
-		return s.mergeNext()
+		return s.mergeFill(dst)
 	}
-	if s.pos >= len(s.sorted) {
-		return nil, false, nil
+	return len(emitSlice(dst, s.sorted, &s.pos)), nil
+}
+
+// absorb buffers the child a batch at a time, charging the sort cost once
+// per batch. Under a spill-enabled budget each batch's tuples are accounted
+// and a breach after the batch flushes the buffer as a sorted run — the
+// once-per-batch breach check HashAggregate's absorb makes too. It ends
+// sorted or merging.
+func (s *Sort) absorb() error {
+	in := relation.GetBatch()
+	defer in.Release()
+	spill := s.ctx.spillEnabled()
+	for {
+		n, err := s.Child.NextBatch(in)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			break
+		}
+		s.ctx.chargeFlat(s.ctx.Costs.SortMs * float64(n))
+		s.sorted = append(s.sorted, in.Tuples...)
+		if !spill {
+			continue
+		}
+		var sz int64
+		for _, t := range in.Tuples {
+			sz += sortTupleBytes(t)
+		}
+		s.bufBytes += sz
+		s.acct.Reserve(sz)
+		if s.acct.Over() {
+			if err := s.flushRun(); err != nil {
+				return err
+			}
+		}
 	}
-	t := s.sorted[s.pos]
-	s.pos++
-	return t, true, nil
+	if len(s.runs) > 0 {
+		return s.startMerge()
+	}
+	sortBuffer(s)
+	return nil
 }
 
 func (s *Sort) less(a, b relation.Tuple) bool {
@@ -753,7 +731,8 @@ func (s *Sort) Close() error {
 }
 
 // Limit forwards the first N tuples and then reports end of stream without
-// draining the rest of its input.
+// draining the rest of its input: each batch is clamped to the rows still
+// owed, so it never pulls a row past N.
 type Limit struct {
 	Child Iterator
 	N     int64
@@ -764,17 +743,20 @@ type Limit struct {
 // Open implements Iterator.
 func (l *Limit) Open(ctx *ExecContext) error { return l.Child.Open(ctx) }
 
-// Next implements Iterator.
-func (l *Limit) Next() (relation.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
+// NextBatch implements Iterator.
+func (l *Limit) NextBatch(dst *relation.Batch) (int, error) {
+	left := l.N - l.seen
+	if left <= 0 {
+		dst.Rewind()
+		return 0, nil
 	}
-	t, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	if c := dst.Cap(); left < int64(c) {
+		dst.SetLimit(int(left))
+		defer dst.SetLimit(c)
 	}
-	l.seen++
-	return t, true, nil
+	n, err := l.Child.NextBatch(dst)
+	l.seen += int64(n)
+	return n, err
 }
 
 // Close implements Iterator.

@@ -66,13 +66,24 @@ func (h *consumerHarness) deliver(t *testing.T, startSeq int64, ckpt int64, buck
 	}
 }
 
+// pop takes one tuple through a single-tuple batch; ok is false at end of
+// stream. Like every NextBatch call it first finishes the previous pop.
 func (h *consumerHarness) pop(t *testing.T) (relation.Tuple, bool) {
 	t.Helper()
-	tp, ok, err := h.cons.Next()
+	tp, ok, err := popOne(h.cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tp, ok
+}
+
+func popOne(c *Consumer) (relation.Tuple, bool, error) {
+	b := relation.NewBatch(1)
+	n, err := c.NextBatch(b)
+	if err != nil || n == 0 {
+		return nil, false, err
+	}
+	return b.Tuples[0], true, nil
 }
 
 func TestConsumerFIFOAndEOS(t *testing.T) {
@@ -93,6 +104,74 @@ func TestConsumerFIFOAndEOS(t *testing.T) {
 	consumed, _, queued := h.cons.Stats()
 	if consumed != 2 || queued != 0 {
 		t.Fatalf("stats: consumed=%d queued=%d", consumed, queued)
+	}
+}
+
+// TestConsumerBatchDrainFIFO drains tuples delivered across several buffers
+// at every reference batch limit: the consumer must hand them out in
+// delivery order, exactly once, and acknowledge every checkpoint once the
+// stream ends.
+func TestConsumerBatchDrainFIFO(t *testing.T) {
+	for _, limit := range refLimits {
+		h := newConsumerHarness(t, 1, false)
+		var want []relation.Tuple
+		for seq := 1; seq <= 40; seq += 10 {
+			var buf []relation.Tuple
+			for i := seq; i < seq+10; i++ {
+				buf = append(buf, intTuple(i))
+			}
+			h.deliver(t, int64(seq), int64(seq+9), nil, buf...)
+			want = append(want, buf...)
+		}
+		if err := h.cons.Deliver(&transport.Message{Kind: transport.KindEOS, Exchange: "EX"}); err != nil {
+			t.Fatal(err)
+		}
+		got := drainOpened(t, h.cons, limit)
+		sameTuplesLabeled(t, "consumer", want, got)
+		waitUntil(t, func() bool { return len(h.ackMessages()) == 4 }, "all four checkpoints acked")
+	}
+}
+
+// waitUntil polls cond (asynchronous acks) until it holds or fails the test.
+func waitUntil(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConsumerDeliverRacesAddProducer runs live-join AddProducer calls
+// against concurrent data delivery. Deliver bounds-checks the producer index
+// against streams, which AddProducer grows, so the check must run under the
+// gate lock; `go test -race` flags it otherwise.
+func TestConsumerDeliverRacesAddProducer(t *testing.T) {
+	h := newConsumerHarness(t, 1, false)
+	const joins, buffers = 50, 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < joins; i++ {
+			h.cons.AddProducer(Addr{Node: "src", Service: "prod"})
+		}
+	}()
+	for i := 0; i < buffers; i++ {
+		h.deliver(t, int64(i+1), 0, nil, intTuple(i))
+	}
+	wg.Wait()
+	_, _, queued := h.cons.Stats()
+	if queued != buffers {
+		t.Fatalf("queued %d tuples, want %d", queued, buffers)
+	}
+	// A producer that joined mid-stream is addressable.
+	msg := &transport.Message{Kind: transport.KindData, Exchange: "EX", ProducerIdx: joins,
+		StartSeq: 1, Tuples: []relation.Tuple{intTuple(-1)}}
+	if err := h.cons.Deliver(msg); err != nil {
+		t.Fatalf("delivery from joined producer %d: %v", joins, err)
 	}
 }
 
@@ -209,12 +288,12 @@ func TestConsumerBlocksUntilDelivery(t *testing.T) {
 	h := newConsumerHarness(t, 1, false)
 	got := make(chan relation.Tuple, 1)
 	go func() {
-		tp, _, _ := h.cons.Next()
+		tp, _, _ := popOne(h.cons)
 		got <- tp
 	}()
 	select {
 	case <-got:
-		t.Fatal("Next returned without data")
+		t.Fatal("NextBatch returned without data")
 	case <-time.After(20 * time.Millisecond):
 	}
 	h.deliver(t, 1, 0, nil, intTuple(42))
@@ -224,7 +303,7 @@ func TestConsumerBlocksUntilDelivery(t *testing.T) {
 			t.Fatalf("got %v", tp)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Next never woke up")
+		t.Fatal("NextBatch never woke up")
 	}
 }
 
@@ -232,7 +311,7 @@ func TestConsumerCloseUnblocks(t *testing.T) {
 	h := newConsumerHarness(t, 1, false)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := h.cons.Next()
+		_, ok, _ := popOne(h.cons)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -240,10 +319,10 @@ func TestConsumerCloseUnblocks(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("Next returned a tuple after Close")
+			t.Fatal("NextBatch returned a tuple after Close")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not unblock Next")
+		t.Fatal("Close did not unblock NextBatch")
 	}
 }
 

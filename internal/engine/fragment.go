@@ -367,14 +367,13 @@ func (r *FragmentRuntime) Err() error {
 }
 
 // Run executes the fragment batch-at-a-time: it opens the tree, pulls
-// batches from the root through FillBatch (vectorized operators run their
-// native NextBatch, everything else goes through the adapter), pushes them
-// into the output exchange with one SendBatch per batch (or into the result
-// sink), and emits M1 self-monitoring events every MonitorEvery produced
-// tuples. When monitoring is active, each batch is clamped to the remaining
-// M1 window, so events fire at exactly the same produced-tuple counts — and
-// attribute exactly the same cost windows — as the tuple-at-a-time driver
-// did. It returns when the input is exhausted, on the first error, or when
+// batches from the root's NextBatch, pushes them into the output exchange
+// with one SendBatch per batch (or into the result sink), and emits M1
+// self-monitoring events every MonitorEvery produced tuples. When
+// monitoring is active, each batch is clamped to the remaining M1 window, so
+// events fire at exactly every MonitorEvery produced tuples and attribute
+// exactly that window's cost, as the paper's per-tuple cadence does. It
+// returns when the input is exhausted, on the first error, or when
 // ctx is canceled — cancellation interrupts the driver even while it is
 // blocked in a consumer wait or a paused exchange. A nil ctx means run
 // unconstrained.
@@ -441,7 +440,7 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 		if monitoring {
 			batch.SetLimit(ectx.MonitorEvery - int(sinceM1))
 		}
-		n, err := FillBatch(r.root, batch)
+		n, err := r.root.NextBatch(batch)
 		if err != nil {
 			return r.fail(err)
 		}
@@ -512,7 +511,7 @@ func (r *FragmentRuntime) Run(ctx context.Context) error {
 func (r *FragmentRuntime) Interrupt(cause error) { r.interrupt(cause) }
 
 // interrupt aborts a running driver from outside: it records the cause,
-// releases a driver blocked in a consumer wait (Close makes Next report
+// releases a driver blocked in a consumer wait (Close makes NextBatch report
 // end-of-stream, which the driver's ctx check reclassifies), and aborts a
 // driver blocked in a paused output exchange.
 func (r *FragmentRuntime) interrupt(cause error) {

@@ -182,3 +182,130 @@ func TestRuntimeRunErrorPath(t *testing.T) {
 		t.Fatal("Err not recorded")
 	}
 }
+
+// orderedRoot wraps leaf in one of the order-sensitive roots the driver
+// pulls batch-wise: a full sort, an ORDER BY + LIMIT (compiled to TopN), or
+// a plain LIMIT.
+func orderedRoot(kind string, leaf *physical.OpSpec) *physical.OpSpec {
+	sortSpec := &physical.OpSpec{Kind: physical.KSort, SortOrds: []int{0}, SortDesc: []bool{true},
+		OutCols: leaf.OutCols, Children: []*physical.OpSpec{leaf}}
+	switch kind {
+	case "sort":
+		return sortSpec
+	case "top-n":
+		return &physical.OpSpec{Kind: physical.KLimit, LimitN: 37, OutCols: leaf.OutCols,
+			Children: []*physical.OpSpec{sortSpec}}
+	default:
+		return &physical.OpSpec{Kind: physical.KLimit, LimitN: 53, OutCols: leaf.OutCols,
+			Children: []*physical.OpSpec{leaf}}
+	}
+}
+
+// rootRows is how many rows orderedRoot(kind, ·) emits over 95 input rows.
+var rootRows = map[string]int64{"sort": 95, "top-n": 37, "limit": 53}
+
+// assertM1Cadence checks that frag emitted one M1 event per MonitorEvery
+// (10) produced rows, at exactly 10, 20, ... up to rows.
+func assertM1Cadence(t *testing.T, m *countingMonitor, frag string, rows int64) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var got []int64
+	for _, e := range m.m1 {
+		if e.Fragment == frag {
+			got = append(got, e.Produced)
+		}
+	}
+	if int64(len(got)) != rows/10 {
+		t.Fatalf("%s emitted M1 at %v, want one per 10 of %d rows", frag, got, rows)
+	}
+	for i, p := range got {
+		if p != int64(i+1)*10 {
+			t.Fatalf("%s emitted M1 at %v, want every 10 produced rows", frag, got)
+		}
+	}
+}
+
+func TestOrderedRootsM1CadenceOverScan(t *testing.T) {
+	scanCols := []relation.Column{
+		{Table: "protein_sequences", Name: "ORF", Type: relation.TString},
+		{Table: "protein_sequences", Name: "sequence", Type: relation.TString},
+	}
+	for _, kind := range []string{"sort", "top-n", "limit"} {
+		leaf := &physical.OpSpec{Kind: physical.KScan, Table: "protein_sequences", OutCols: scanCols}
+		sink := &nullSink{}
+		_, cfg := runtimeFixture(t, orderedRoot(kind, leaf), sink)
+		mon := &countingMonitor{}
+		cfg.Ctx.Store = dataset.DemoSized(95, 10)
+		cfg.Ctx.Monitor, cfg.Ctx.MonitorEvery = mon, 10
+		rt, err := NewFragmentRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		rt.Stop()
+		if int64(sink.rows) != rootRows[kind] {
+			t.Fatalf("%s: %d rows, want %d", kind, sink.rows, rootRows[kind])
+		}
+		assertM1Cadence(t, mon, "F1", rootRows[kind])
+	}
+}
+
+func TestOrderedRootsM1CadenceOverConsumer(t *testing.T) {
+	scanCols := []relation.Column{
+		{Table: "p", Name: "ORF", Type: relation.TString},
+		{Table: "p", Name: "sequence", Type: relation.TString},
+	}
+	for _, kind := range []string{"sort", "top-n", "limit"} {
+		c := newTestCluster(t, "data1", "coord")
+		c.store = dataset.DemoSized(95, 10)
+		f1 := &physical.FragmentSpec{
+			ID:        "F1",
+			Root:      &physical.OpSpec{Kind: physical.KScan, Table: "protein_sequences", OutCols: scanCols},
+			Instances: []simnet.NodeID{"data1"}, InitialWeights: []float64{1},
+			Output: &physical.ExchangeSpec{ID: "E1", ConsumerFragment: "F2",
+				Policy: physical.PolicyWeighted, EstTuples: 95},
+		}
+		leaf := &physical.OpSpec{Kind: physical.KConsume, Exchange: "E1", NumProducers: 1, OutCols: scanCols}
+		f2 := &physical.FragmentSpec{
+			ID: "F2", Root: orderedRoot(kind, leaf),
+			Instances: []simnet.NodeID{"coord"}, InitialWeights: []float64{1},
+		}
+		c.deploy(&physical.Plan{Fragments: []*physical.FragmentSpec{f1, f2}, Coordinator: "coord"})
+		out := c.collect()
+		c.stopAll()
+		if int64(len(out)) != rootRows[kind] {
+			t.Fatalf("%s: %d rows, want %d", kind, len(out), rootRows[kind])
+		}
+		assertM1Cadence(t, c.monitor, "F2", rootRows[kind])
+	}
+}
+
+// TestLimitOverScanChargesOnlyNRows proves LIMIT pulls no row past N: with a
+// flat per-row scan cost, the fragment charges exactly N scans, monitored
+// (batches clamped to the M1 window) or not.
+func TestLimitOverScanChargesOnlyNRows(t *testing.T) {
+	cols := []relation.Column{{Table: "protein_sequences", Name: "ORF", Type: relation.TString}}
+	for _, monitored := range []bool{false, true} {
+		leaf := &physical.OpSpec{Kind: physical.KScan, Table: "protein_sequences", OutCols: cols}
+		_, cfg := runtimeFixture(t, orderedRoot("limit", leaf), &nullSink{})
+		cfg.Ctx.Store = dataset.DemoSized(95, 10)
+		cfg.Ctx.Costs = Costs{ScanMs: 0.5}
+		if monitored {
+			cfg.Ctx.Monitor, cfg.Ctx.MonitorEvery = &countingMonitor{}, 10
+		}
+		rt, err := NewFragmentRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		rt.Stop()
+		if got, want := cfg.Ctx.Meter.ChargedMs(), 53*0.5; got != want {
+			t.Fatalf("monitored=%v: LIMIT 53 charged %v ms, want exactly %v", monitored, got, want)
+		}
+	}
+}

@@ -127,17 +127,7 @@ func TestHashJoinEvictAndReplay(t *testing.T) {
 	if j.StateSize() != 40 {
 		t.Fatalf("state after replay = %d, want 40", j.StateSize())
 	}
-	var out []relation.Tuple
-	for {
-		tp, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := drainOpened(t, j, 0)
 	if len(out) != 40 {
 		t.Fatalf("join after evict+replay produced %d, want 40", len(out))
 	}
@@ -187,17 +177,19 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		b.Fatal(err)
 	}
 	probe := probeTuples(1000, 1000)
+	batch := relation.GetBatch()
+	defer batch.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.Probe = NewSliceSource(probe, 0)
 		_ = j.Probe.Open(ctx)
 		for {
-			_, ok, err := j.Next()
+			n, err := j.NextBatch(batch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !ok {
+			if n == 0 {
 				break
 			}
 		}

@@ -27,27 +27,48 @@ func testCtx() *ExecContext {
 	}
 }
 
-// drain runs an iterator to completion.
+// drain runs an iterator to completion at the default batch size.
 func drain(t *testing.T, it Iterator, ctx *ExecContext) []relation.Tuple {
+	t.Helper()
+	return drainBatch(t, it, ctx, 0)
+}
+
+// drainBatch runs an iterator to completion with batches capped at limit
+// tuples (0: the default batch size).
+func drainBatch(t *testing.T, it Iterator, ctx *ExecContext, limit int) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(ctx); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	var out []relation.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := drainOpened(t, it, limit)
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return out
+}
+
+// drainOpened drains an already opened iterator to end of stream with
+// batches capped at limit tuples (0: the default batch size), leaving it
+// open.
+func drainOpened(t *testing.T, it Iterator, limit int) []relation.Tuple {
+	t.Helper()
+	batch := relation.GetBatch()
+	defer batch.Release()
+	batch.SetLimit(limit)
+	var out []relation.Tuple
+	for {
+		n, err := it.NextBatch(batch)
+		if err != nil {
+			t.Fatalf("NextBatch: %v", err)
+		}
+		if n == 0 {
+			return out
+		}
+		if n != batch.Len() || n > batch.Cap() {
+			t.Fatalf("NextBatch returned %d with %d tuples in a batch of cap %d", n, batch.Len(), batch.Cap())
+		}
+		out = append(out, batch.Tuples...)
+	}
 }
 
 func TestTableScan(t *testing.T) {
@@ -156,7 +177,7 @@ func TestOperationCallErrors(t *testing.T) {
 	if err := bad.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bad.Next(); err == nil {
+	if _, err := bad.NextBatch(relation.NewBatch(1)); err == nil {
 		t.Error("invocation error swallowed")
 	}
 }

@@ -58,8 +58,10 @@ func TestStoredScanParity(t *testing.T) {
 			ctx, mem := storedEventsCtx(t, backend, 20000)
 			for _, depth := range []int{0, -1, 1, 4} {
 				ctx.Readahead = depth
-				got := drain(t, &TableScan{Table: "events"}, ctx)
-				sameTuplesLabeled(t, name, mem.Tuples, got)
+				for _, limit := range refLimits {
+					got := drainBatch(t, &TableScan{Table: "events"}, ctx, limit)
+					sameTuplesLabeled(t, name, mem.Tuples, got)
+				}
 			}
 		})
 	}
@@ -119,10 +121,8 @@ func TestStoredScanBudgetLifecycle(t *testing.T) {
 	if err := scan.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, ok, err := scan.Next(); err != nil || !ok {
-			t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
-		}
+	if n, err := scan.NextBatch(relation.NewBatch(10)); err != nil || n != 10 {
+		t.Fatalf("first batch: n=%d err=%v", n, err)
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestStoredScanUnderBreachedBudget(t *testing.T) {
 func TestTopNMatchesSortLimit(t *testing.T) {
 	backend := storage.NewMemory()
 	defer backend.Close()
-	ctx, _ := storedEventsCtx(t, backend, 5000)
+	ctx, mem := storedEventsCtx(t, backend, 5000)
 	cases := []struct {
 		name string
 		ords []int
@@ -180,15 +180,20 @@ func TestTopNMatchesSortLimit(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := drain(t, &Limit{
-				Child: &Sort{Child: &TableScan{Table: "events"}, Ords: c.ords, Desc: c.desc},
-				N:     c.n,
-			}, ctx)
-			got := drain(t, &TopN{
-				Child: &TableScan{Table: "events"},
-				Ords:  c.ords, Desc: c.desc, N: c.n,
-			}, ctx)
-			sameTuplesLabeled(t, c.name, want, got)
+			want := stableSorted(mem.Tuples, c.ords, c.desc)
+			want = want[:min(int64(len(want)), c.n)]
+			for _, limit := range refLimits {
+				sorted := drainBatch(t, &Limit{
+					Child: &Sort{Child: &TableScan{Table: "events"}, Ords: c.ords, Desc: c.desc},
+					N:     c.n,
+				}, ctx, limit)
+				sameTuplesLabeled(t, c.name+" sort+limit", want, sorted)
+				top := drainBatch(t, &TopN{
+					Child: &TableScan{Table: "events"},
+					Ords:  c.ords, Desc: c.desc, N: c.n,
+				}, ctx, limit)
+				sameTuplesLabeled(t, c.name+" top-n", want, top)
+			}
 		})
 	}
 }
@@ -202,8 +207,8 @@ func TestTopNBudgetRelease(t *testing.T) {
 	if err := top.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := top.Next(); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	if n, err := top.NextBatch(relation.NewBatch(1)); err != nil || n != 1 {
+		t.Fatalf("n=%d err=%v", n, err)
 	}
 	if ctx.Mem.Inflight() == 0 {
 		t.Fatal("TopN retained state is not accounted")

@@ -43,6 +43,53 @@ func sameMultiset(t *testing.T, got, want []relation.Tuple) {
 	}
 }
 
+// joinOracle is the plain nested-loop equi-join on column 0, build columns
+// first.
+func joinOracle(build, probe []relation.Tuple) []relation.Tuple {
+	var out []relation.Tuple
+	for _, b := range build {
+		for _, p := range probe {
+			if b[0].Equal(p[0]) {
+				out = append(out, b.Concat(p))
+			}
+		}
+	}
+	return out
+}
+
+// aggOracle computes COUNT(*), SUM, MIN and MAX of integer column 1 grouped
+// by column 0, one row per group in ascending key order — the aggregate's
+// output order.
+func aggOracle(input []relation.Tuple) []relation.Tuple {
+	type acc struct {
+		key           relation.Value
+		count         int64
+		sum, min, max int64
+	}
+	groups := make(map[string]*acc)
+	var keys []string
+	for _, tp := range input {
+		k, v := tp[0].AsString(), tp[1].AsInt()
+		g := groups[k]
+		if g == nil {
+			g = &acc{key: tp[0], min: v, max: v}
+			groups[k] = g
+			keys = append(keys, k)
+		}
+		g.count++
+		g.sum += v
+		g.min, g.max = min(g.min, v), max(g.max, v)
+	}
+	sort.Strings(keys)
+	out := make([]relation.Tuple, len(keys))
+	for i, k := range keys {
+		g := groups[k]
+		out[i] = relation.Tuple{g.key, relation.Int(g.count), relation.Float(float64(g.sum)),
+			relation.Int(g.min), relation.Int(g.max)}
+	}
+	return out
+}
+
 // assertClean verifies the budget and backend leak nothing after Close.
 func assertClean(t *testing.T, ctx *ExecContext) {
 	t.Helper()
@@ -68,24 +115,25 @@ func spillCounters() (bytes, parts, restarts int64) {
 func TestHashJoinSpillParity(t *testing.T) {
 	build := buildTuples(200)
 	probe := probeTuples(600, 200)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := joinOracle(build, probe)
+	for _, limit := range refLimits {
+		b0, p0, _ := spillCounters()
+		ctx := budgetedCtx(2048) // far below the ~200-entry build side
+		got := drainBatch(t, newJoin(build, probe), ctx, limit)
+		b1, p1, _ := spillCounters()
 
-	b0, p0, _ := spillCounters()
-	ctx := budgetedCtx(2048) // far below the ~200-entry build side
-	got := drain(t, newJoin(build, probe), ctx)
-	b1, p1, _ := spillCounters()
-
-	sameMultiset(t, got, want)
-	if p1 == p0 || b1 == b0 {
-		t.Fatal("budget was never breached: test exercised nothing")
+		sameMultiset(t, got, want)
+		if p1 == p0 || b1 == b0 {
+			t.Fatal("budget was never breached: test exercised nothing")
+		}
+		assertClean(t, ctx)
 	}
-	assertClean(t, ctx)
 }
 
 func TestHashJoinSpillRecursiveRepartition(t *testing.T) {
 	build := buildTuples(120)
 	probe := probeTuples(360, 120)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := joinOracle(build, probe)
 
 	_, _, r0 := spillCounters()
 	// A 1-byte budget breaches on every reserve: the drain's reloads breach
@@ -109,7 +157,7 @@ func TestHashJoinSpillDuplicateKeys(t *testing.T) {
 		build = append(build, buildTuples(8)...)
 	}
 	probe := probeTuples(40, 8)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := joinOracle(build, probe)
 
 	ctx := budgetedCtx(1)
 	got := drain(t, newJoin(build, probe), ctx)
@@ -125,55 +173,39 @@ func TestHashAggregateSpillParity(t *testing.T) {
 	groupOrds := []int{0}
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1}
-	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx())
+	want := aggOracle(input)
+	for _, limit := range refLimits {
+		_, p0, _ := spillCounters()
+		ctx := budgetedCtx(512) // a handful of groups per dump
+		got := drainBatch(t, newAgg(input, groupOrds, kinds, args), ctx, limit)
+		_, p1, _ := spillCounters()
 
-	_, p0, _ := spillCounters()
-	ctx := budgetedCtx(512) // a handful of groups per dump
-	got := drain(t, newAgg(input, groupOrds, kinds, args), ctx)
-	_, p1, _ := spillCounters()
-
-	// Aggregate output is sorted by group key, so parity is positional.
-	if len(got) != len(want) {
-		t.Fatalf("got %d groups, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
-			t.Fatalf("group %d diverged: %v vs %v", i, got[i].Format(), want[i].Format())
+		// Aggregate output is sorted by group key, so parity is positional.
+		sameTuplesLabeled(t, "aggregate", want, got)
+		if p1 == p0 {
+			t.Fatal("aggregate never dumped under a 512-byte budget")
 		}
+		assertClean(t, ctx)
 	}
-	if p1 == p0 {
-		t.Fatal("aggregate never dumped under a 512-byte budget")
-	}
-	assertClean(t, ctx)
 }
 
 func TestSortSpillParity(t *testing.T) {
 	// Duplicate keys with distinct payloads: the external merge must
-	// reproduce sort.SliceStable byte for byte, not just a valid ordering.
+	// reproduce a stable sort byte for byte, not just a valid ordering.
 	input := probeTuples(400, 25)
-	sorter := func() *Sort {
-		return &Sort{Child: NewSliceSource(input, 0), Ords: []int{0}, Desc: []bool{false}}
-	}
-	want := drain(t, sorter(), testCtx())
+	want := stableSorted(input, []int{0}, []bool{false})
+	for _, limit := range refLimits {
+		_, p0, _ := spillCounters()
+		ctx := budgetedCtx(1024) // forces several flushed runs plus a tail
+		got := drainBatch(t, &Sort{Child: NewSliceSource(input, 0), Ords: []int{0}, Desc: []bool{false}}, ctx, limit)
+		_, p1, _ := spillCounters()
 
-	_, p0, _ := spillCounters()
-	ctx := budgetedCtx(1024) // forces several flushed runs plus a tail
-	got := drain(t, sorter(), ctx)
-	_, p1, _ := spillCounters()
-
-	if len(got) != len(want) {
-		t.Fatalf("sorted %d tuples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if string(relation.EncodeTuple(got[i])) != string(relation.EncodeTuple(want[i])) {
-			t.Fatalf("external sort order diverged at %d: %v vs %v",
-				i, got[i].Format(), want[i].Format())
+		sameTuplesLabeled(t, "external sort", want, got)
+		if p1 == p0 {
+			t.Fatal("sort never flushed a run under a 1KiB budget")
 		}
+		assertClean(t, ctx)
 	}
-	if p1 == p0 {
-		t.Fatal("sort never flushed a run under a 1KiB budget")
-	}
-	assertClean(t, ctx)
 }
 
 func TestHashJoinSpillEvictReplay(t *testing.T) {
@@ -225,17 +257,7 @@ func TestHashJoinSpillEvictReplay(t *testing.T) {
 		}
 	}
 	j.InsertState(replay)
-	var out []relation.Tuple
-	for {
-		tp, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, tp)
-	}
+	out := drainOpened(t, j, 0)
 	if len(out) != 40 {
 		t.Fatalf("join after evict+replay under spill produced %d tuples, want 40", len(out))
 	}
@@ -273,18 +295,20 @@ func runCloneWorkers(t *testing.T, ctx *ExecContext, n int, clone func(w int) It
 				ch <- res{err: err}
 				return
 			}
+			batch := relation.GetBatch()
+			defer batch.Release()
 			var out []relation.Tuple
 			for {
-				tp, ok, err := it.Next()
+				n, err := it.NextBatch(batch)
 				if err != nil {
 					_ = it.Close()
 					ch <- res{err: err}
 					return
 				}
-				if !ok {
+				if n == 0 {
 					break
 				}
-				out = append(out, tp)
+				out = append(out, batch.Tuples...)
 			}
 			ch <- res{out: out, err: it.Close()}
 		}()
@@ -308,7 +332,7 @@ func TestHashJoinParallelSpillParity(t *testing.T) {
 	// workers' outputs must equal the serial unbudgeted join's multiset.
 	build := buildTuples(200)
 	probe := probeTuples(600, 200)
-	want := drain(t, newJoin(build, probe), testCtx())
+	want := joinOracle(build, probe)
 
 	const workers = 4
 	b0, p0, _ := spillCounters()
@@ -338,7 +362,7 @@ func TestHashAggregateParallelSpillParity(t *testing.T) {
 	groupOrds := []int{0}
 	kinds := []logical.AggKind{logical.AggCount, logical.AggSum, logical.AggMin, logical.AggMax}
 	args := []int{-1, 1, 1, 1}
-	want := drain(t, newAgg(input, groupOrds, kinds, args), testCtx())
+	want := aggOracle(input)
 
 	const workers = 4
 	_, p0, _ := spillCounters()

@@ -189,8 +189,11 @@ func (s *aggState) reloadLocked(a *HashAggregate) error {
 // External merge sort (see DESIGN.md §5i, §5j). Sort is never
 // parallel-eligible — it runs in the serial collector fragment — but it
 // shares the query's striped budget with any morsel-parallel joins and
-// aggregates upstream: under a budget the buffer is accounted per tuple
-// and, on breach, sorted and flushed as one run. The emit phase merges
+// aggregates upstream: under a budget each absorbed batch is accounted and,
+// when the budget is breached after it, the buffer is sorted and flushed as
+// one run. Checking once per batch rather than per tuple matters: while an
+// upstream operator holds the budget over, a per-tuple check would flush a
+// run for nearly every tuple. The emit phase merges
 // the sealed runs with the sorted in-memory tail; ties resolve to the
 // earlier source (runs in flush order, the tail last), which reproduces
 // sort.SliceStable over the full input byte for byte.
@@ -279,26 +282,26 @@ func (s *Sort) startMerge() error {
 	return nil
 }
 
-// mergeNext pops the smallest head across sources (ties to the earliest
-// source, preserving stability).
-func (s *Sort) mergeNext() (relation.Tuple, bool, error) {
-	best := -1
-	for i, src := range s.merge {
-		if !src.ok {
-			continue
+// mergeFill fills dst by repeatedly popping the smallest head across
+// sources (ties to the earliest source, preserving stability).
+func (s *Sort) mergeFill(dst *relation.Batch) (int, error) {
+	dst.Rewind()
+	for !dst.Full() {
+		best := -1
+		for i, src := range s.merge {
+			if src.ok && (best < 0 || s.less(src.head, s.merge[best].head)) {
+				best = i
+			}
 		}
-		if best < 0 || s.less(src.head, s.merge[best].head) {
-			best = i
+		if best < 0 {
+			break
+		}
+		dst.Append(s.merge[best].head)
+		if err := s.merge[best].advance(); err != nil {
+			return dst.Len(), err
 		}
 	}
-	if best < 0 {
-		return nil, false, nil
-	}
-	t := s.merge[best].head
-	if err := s.merge[best].advance(); err != nil {
-		return nil, false, err
-	}
-	return t, true, nil
+	return dst.Len(), nil
 }
 
 // closeSpill releases every external-sort resource.

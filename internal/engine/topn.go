@@ -97,35 +97,22 @@ func (o *TopN) siftDown(i int) {
 	}
 }
 
-// consume drains the child, retaining the top N.
+// consume drains the child a batch at a time, charging the sort cost once
+// per batch and retaining the top N.
 func (o *TopN) consume() error {
+	in := relation.GetBatch()
+	defer in.Release()
 	for {
-		t, ok, err := o.Child.Next()
+		n, err := o.Child.NextBatch(in)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		o.ctx.chargeFlat(o.ctx.Costs.SortMs)
-		e := topEntry{t: t, seq: o.seq}
-		o.seq++
-		if int64(len(o.heap)) < o.N {
-			o.push(e)
-			sz := sortTupleBytes(t)
-			o.held += sz
-			o.acct.Reserve(sz)
-			continue
-		}
-		if !o.after(e, o.heap[0]) {
-			// e beats the current worst: swap reservations and replace the
-			// root.
-			oldSz, newSz := sortTupleBytes(o.heap[0].t), sortTupleBytes(t)
-			o.acct.Reserve(newSz)
-			o.acct.Release(oldSz)
-			o.held += newSz - oldSz
-			o.heap[0] = e
-			o.siftDown(0)
+		o.ctx.chargeFlat(o.ctx.Costs.SortMs * float64(n))
+		for _, t := range in.Tuples {
+			o.retain(t)
 		}
 	}
 	// Pop worst-first into the tail of the output slice: what remains is
@@ -144,20 +131,38 @@ func (o *TopN) consume() error {
 	return nil
 }
 
-// Next implements Iterator: the first call consumes the whole input.
-func (o *TopN) Next() (relation.Tuple, bool, error) {
+// retain offers one input tuple to the bounded heap.
+func (o *TopN) retain(t relation.Tuple) {
+	e := topEntry{t: t, seq: o.seq}
+	o.seq++
+	if int64(len(o.heap)) < o.N {
+		o.push(e)
+		sz := sortTupleBytes(t)
+		o.held += sz
+		o.acct.Reserve(sz)
+		return
+	}
+	if !o.after(e, o.heap[0]) {
+		// e beats the current worst: swap reservations and replace the root.
+		oldSz, newSz := sortTupleBytes(o.heap[0].t), sortTupleBytes(t)
+		o.acct.Reserve(newSz)
+		o.acct.Release(oldSz)
+		o.held += newSz - oldSz
+		o.heap[0] = e
+		o.siftDown(0)
+	}
+}
+
+// NextBatch implements Iterator: the first call consumes the whole input,
+// then each call emits up to dst.Cap() retained rows in order.
+func (o *TopN) NextBatch(dst *relation.Batch) (int, error) {
 	if !o.done {
 		if err := o.consume(); err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		o.done = true
 	}
-	if o.pos >= len(o.sorted) {
-		return nil, false, nil
-	}
-	t := o.sorted[o.pos]
-	o.pos++
-	return t, true, nil
+	return len(emitSlice(dst, o.sorted, &o.pos)), nil
 }
 
 // Close implements Iterator: retained-state reservations are released here,

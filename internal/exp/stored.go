@@ -108,7 +108,7 @@ func StoredStreaming() (*Experiment, error) {
 		"Divergence is compared tuple for tuple against the in-memory, unbudgeted run — storage backend, "+
 			"memory budget and readahead change where bytes live and when they move, never the result.",
 		"`make bigtable` runs the same scenario as a test (GRIDDQP_BIGTABLE_ROWS scales it); "+
-			"BENCH_micro.json holds the batched-vs-cursor throughput floors (ScanStoredTuple/ScanStoredBatch).",
+			"BENCH_micro.json holds the stored-scan baselines (ScanStoredBatch, ScanReadaheadOn/Off) the benchmark gate checks.",
 	)
 	return e, nil
 }

@@ -9,14 +9,15 @@ import (
 	"repro/internal/vtime"
 )
 
-// busPublishDeliver measures end-to-end notification throughput — Publish
-// on one goroutine, handler execution on the subscription's delivery
-// goroutine — for a given queue policy (per-op = one notification,
-// published and delivered). Both measured policies are lossless, so the
-// drain wait at the end is bounded.
-func busPublishDeliver(b *testing.B, opts bus.Options) {
+// BusPublishDeliverBounded measures end-to-end notification throughput —
+// Publish on one goroutine, handler execution on the subscription's delivery
+// goroutine — through the bounded ring with the blocking overflow policy: a
+// full queue exerts backpressure on the publisher instead of growing, so
+// memory stays capped at QueueCap notifications and no notification is lost
+// (per-op = one notification, published and delivered).
+func BusPublishDeliverBounded(b *testing.B) {
 	clock := vtime.NewClock(time.Nanosecond)
-	bu := bus.NewWithOptions(clock, nil, opts)
+	bu := bus.NewWithOptions(clock, nil, bus.Options{Overflow: bus.OverflowBlock})
 	defer bu.Close()
 	var delivered atomic.Int64
 	sub := bu.Subscribe("bench", "n0", "bench.topic", func(bus.Notification) {
@@ -31,17 +32,4 @@ func busPublishDeliver(b *testing.B, opts bus.Options) {
 	for delivered.Load() < int64(b.N) {
 		time.Sleep(10 * time.Microsecond)
 	}
-}
-
-// BusPublishDeliverBounded uses the bounded ring with the blocking overflow
-// policy: a full queue exerts backpressure on the publisher instead of
-// growing, so memory stays capped at QueueCap notifications.
-func BusPublishDeliverBounded(b *testing.B) {
-	busPublishDeliver(b, bus.Options{Overflow: bus.OverflowBlock})
-}
-
-// BusPublishDeliverUnbounded uses the legacy grow-without-bound policy the
-// bounded ring replaced; kept as the benchmark baseline.
-func BusPublishDeliverUnbounded(b *testing.B) {
-	busPublishDeliver(b, bus.Options{Overflow: bus.OverflowGrow})
 }

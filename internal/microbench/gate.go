@@ -64,13 +64,7 @@ type ScalingCheck struct {
 // `make benchgate` on multi-core runners. The floors are deliberately below
 // linear: the chains share a morsel source and the joins share a build
 // table, so perfect scaling is not on the table, but a multi-core runner
-// that shows none of it has lost real parallelism. The stored-scan checks
-// hold the batched block scan to a multiple of the tuple-at-a-time cursor's
-// throughput on posix, the streaming scan engine's reason to exist: the
-// fused decode alone must show 1.5x on any runner, and the full 2x floor is
-// held at width 2 because the batched scan is a two-thread pipeline — its
-// readahead producer needs a core of its own to overlap block reads with
-// decode, which a one-core runner cannot demonstrate.
+// that shows none of it has lost real parallelism.
 func DefaultScalingChecks() []ScalingCheck {
 	return []ScalingCheck{
 		{Serial: "ParallelChain1", Parallel: "ParallelChain2", Width: 2, MinSpeedup: 1.3},
@@ -79,8 +73,6 @@ func DefaultScalingChecks() []ScalingCheck {
 		{Serial: "PartitionedJoin1", Parallel: "PartitionedJoin2", Width: 2, MinSpeedup: 1.3},
 		{Serial: "PartitionedJoin1", Parallel: "PartitionedJoin4", Width: 4, MinSpeedup: 2.0},
 		{Serial: "PartitionedJoin1", Parallel: "PartitionedJoin8", Width: 8, MinSpeedup: 4.0},
-		{Serial: "ScanStoredTuple", Parallel: "ScanStoredBatch", Width: 1, MinSpeedup: 1.5},
-		{Serial: "ScanStoredTuple", Parallel: "ScanStoredBatch", Width: 2, MinSpeedup: 2.0},
 	}
 }
 

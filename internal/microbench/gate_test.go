@@ -60,3 +60,20 @@ func TestRunSpecRecordsCores(t *testing.T) {
 		t.Fatalf("core counts not recorded: gomaxprocs=%d num_cpu=%d", r.GOMAXPROCS, r.NumCPU)
 	}
 }
+
+// TestScalingChecksNameRunBenchmarks keeps every scaling floor live: a check
+// naming a benchmark that is not in the run list would be skipped as a
+// "missing measurement" forever instead of gating anything.
+func TestScalingChecksNameRunBenchmarks(t *testing.T) {
+	run := make(map[string]bool)
+	for _, s := range specs() {
+		run[s.name] = true
+	}
+	for _, c := range DefaultScalingChecks() {
+		for _, name := range []string{c.Serial, c.Parallel} {
+			if !run[name] {
+				t.Errorf("scaling check %s vs %s names %q, which is not in the micro run list", c.Parallel, c.Serial, name)
+			}
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Package microbench holds the engine's micro-benchmarks as plain functions
 // so they can run both under `go test -bench` (see microbench_test.go) and
 // from cmd/dqp-experiments, which executes them via testing.Benchmark and
-// writes the results to BENCH_micro.json. The benchmarks isolate the three
-// hot paths the batch-vectorized pipeline optimizes: the tuple codec, the
-// exchange producer, and the operator chain itself (volcano vs batch).
+// writes the results to BENCH_micro.json. The benchmarks isolate the hot
+// paths of the batch-vectorized pipeline: the tuple codec, the exchange
+// producer, the operator chain (serial and morsel-parallel), the spill
+// paths, the stored scan, the notification bus and the monitoring layer.
 package microbench
 
 import (
@@ -125,10 +126,9 @@ var chainRelation = func() []relation.Tuple {
 
 // chainCtx builds a zero-cost ExecContext: with modelled costs at zero, the
 // benchmark measures pure engine overhead — interface dispatch, locks, meter
-// traffic, allocation — which is exactly what batching amortizes. The
-// payload work (predicate evaluation, output-tuple construction) is
-// identical in both execution models and deliberately kept small, so the
-// comparison exposes the per-tuple overhead rather than burying it.
+// traffic, allocation. The payload work (predicate evaluation, output-tuple
+// construction) is deliberately kept small, so the measurement exposes the
+// per-batch overhead rather than burying it.
 func chainCtx() *engine.ExecContext {
 	clock := vtime.NewClock(time.Nanosecond)
 	return &engine.ExecContext{
@@ -163,70 +163,44 @@ func chainPlanOver(b *testing.B, src engine.Iterator) engine.Iterator {
 }
 
 // ballastBytes is the heap ballast the chain benchmarks hold while running.
-// Both drains allocate ~100KB of output tuples per op, so with the default
+// Each drain allocates ~100KB of output tuples per op, so with the default
 // few-MB live heap the collector marks almost continuously and run-to-run
-// pacing noise swamps the comparison; a ballast stretches the GC period so
-// both paths measure engine overhead under identical, steady conditions.
+// pacing noise swamps any comparison; a ballast stretches the GC period so
+// every variant measures engine overhead under identical, steady conditions.
 const ballastBytes = 64 << 20
 
-// VolcanoChain drains the chain tuple-at-a-time (per-op = one full drain of
-// chainRows tuples).
-func VolcanoChain(b *testing.B) {
-	ballast := make([]byte, ballastBytes)
-	defer runtime.KeepAlive(ballast)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := chainPlan(b)
-		if err := it.Open(chainCtx()); err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			_, ok, err := it.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows++
-		}
-		if err := it.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if rows != chainRows-1 {
-			b.Fatalf("drained %d rows, want %d", rows, chainRows-1)
-		}
+// drainRows opens it under ctx, drains it through batch, closes it, and
+// returns the number of rows produced.
+func drainRows(it engine.Iterator, ctx *engine.ExecContext, batch *relation.Batch) (int, error) {
+	if err := it.Open(ctx); err != nil {
+		return 0, err
 	}
-	b.ReportMetric(float64(chainRows)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
+	rows := 0
+	for {
+		n, err := it.NextBatch(batch)
+		if err != nil {
+			_ = it.Close()
+			return rows, err
+		}
+		if n == 0 {
+			return rows, it.Close()
+		}
+		rows += n
+	}
 }
 
-// BatchChain drains the same chain through the vectorized path.
+// BatchChain drains the chain serially (per-op = one full drain of
+// chainRows tuples).
 func BatchChain(b *testing.B) {
 	ballast := make([]byte, ballastBytes)
 	defer runtime.KeepAlive(ballast)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := chainPlan(b)
-		if err := it.Open(chainCtx()); err != nil {
-			b.Fatal(err)
-		}
 		batch := relation.GetBatch()
-		rows := 0
-		for {
-			n, err := engine.FillBatch(it, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			rows += n
-		}
+		rows, err := drainRows(chainPlan(b), chainCtx(), batch)
 		batch.Release()
-		if err := it.Close(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
 		if rows != chainRows-1 {
@@ -263,7 +237,6 @@ func specs() []spec {
 		{"TupleDecode", TupleDecode, 1},
 		{"TupleDecodeInto", TupleDecodeInto, 1},
 		{"ProducerSendBatch", ProducerSendBatch, sendBatchSize},
-		{"VolcanoChain", VolcanoChain, chainRows},
 		{"BatchChain", BatchChain, chainRows},
 		{"ParallelChain1", ParallelChain1, chainRows},
 		{"ParallelChain2", ParallelChain2, chainRows},
@@ -275,12 +248,10 @@ func specs() []spec {
 		{"PartitionedJoin8", PartitionedJoin8, joinProbeRows},
 		{"SpillJoin", SpillJoin, joinProbeRows},
 		{"ExternalSort", ExternalSort, sortRows},
-		{"ScanStoredTuple", ScanStoredTuple, scanRows},
 		{"ScanStoredBatch", ScanStoredBatch, scanRows},
 		{"ScanReadaheadOn", ScanReadaheadOn, scanRows},
 		{"ScanReadaheadOff", ScanReadaheadOff, scanRows},
 		{"BusPublishDeliverBounded", BusPublishDeliverBounded, 1},
-		{"BusPublishDeliverUnbounded", BusPublishDeliverUnbounded, 1},
 		{"ObsMonitoringOverhead", ObsMonitoringOverhead, chainRows},
 		{"ObsMonitoringOverheadBaseline", ObsMonitoringOverheadBaseline, chainRows},
 	}
@@ -301,8 +272,7 @@ func runSpec(s spec) Result {
 }
 
 // All runs every micro-benchmark through testing.Benchmark and collects the
-// results. The volcano and batch chains process chainRows tuples per op;
-// TuplesPerOp lets consumers derive throughput.
+// results. TuplesPerOp lets consumers derive throughput.
 func All() []Result {
 	var out []Result
 	for _, s := range specs() {

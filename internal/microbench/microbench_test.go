@@ -9,20 +9,12 @@ func BenchmarkTupleEncode(b *testing.B)       { TupleEncode(b) }
 func BenchmarkTupleDecode(b *testing.B)       { TupleDecode(b) }
 func BenchmarkProducerSendBatch(b *testing.B) { ProducerSendBatch(b) }
 
-// BenchmarkBusPublishDeliver compares the bounded subscription ring (block
-// overflow policy) against the legacy unbounded grow policy it replaced.
-func BenchmarkBusPublishDeliver(b *testing.B) {
-	b.Run("bounded", BusPublishDeliverBounded)
-	b.Run("unbounded", BusPublishDeliverUnbounded)
-}
+// BenchmarkBusPublishDeliver prices the bounded subscription ring under the
+// blocking overflow policy.
+func BenchmarkBusPublishDeliver(b *testing.B) { BusPublishDeliverBounded(b) }
 
-// BenchmarkVolcanoVsBatch runs the same scan→select→project drain through
-// both execution models; compare the subbenchmarks' ns/op, allocs/op and
-// tuples/sec directly.
-func BenchmarkVolcanoVsBatch(b *testing.B) {
-	b.Run("volcano", VolcanoChain)
-	b.Run("batch", BatchChain)
-}
+// BenchmarkBatchChain drains the scan→select→project chain serially.
+func BenchmarkBatchChain(b *testing.B) { BatchChain(b) }
 
 // BenchmarkObsMonitoringOverhead compares the batch drain with live registry
 // handles against the same drain with instrumentation disabled.
@@ -60,28 +52,6 @@ func TestObsOverheadWithinBudget(t *testing.T) {
 	}
 }
 
-// TestBatchBeatsVolcano pins the vectorization acceptance bar: the batch
-// path must be at least 2x the throughput of the volcano path without
-// allocating more. (The paths used to differ 5x on allocations too, but the
-// scalar Next paths now carve output tuples from the same operator arenas
-// the batch paths use, so the alloc counts converged — the win that remains
-// is per-tuple call overhead.)
-func TestBatchBeatsVolcano(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison")
-	}
-	v := testing.Benchmark(VolcanoChain)
-	bt := testing.Benchmark(BatchChain)
-	vNs := float64(v.T.Nanoseconds()) / float64(v.N)
-	bNs := float64(bt.T.Nanoseconds()) / float64(bt.N)
-	if bNs*2 > vNs {
-		t.Errorf("batch path %.0f ns/op vs volcano %.0f ns/op: want >=2x faster", bNs, vNs)
-	}
-	if bt.AllocsPerOp() > v.AllocsPerOp() {
-		t.Errorf("batch path %d allocs/op vs volcano %d: must not allocate more", bt.AllocsPerOp(), v.AllocsPerOp())
-	}
-}
-
 // BenchmarkParallelChain sweeps the morsel pool width over the same chain
 // BatchChain drains serially.
 func BenchmarkParallelChain(b *testing.B) {
@@ -103,10 +73,9 @@ func BenchmarkPartitionedJoin(b *testing.B) {
 func BenchmarkTupleDecodeIntoArena(b *testing.B) { TupleDecodeInto(b) }
 
 // BenchmarkStoredScan prices the streaming scan engine: the posix table
-// drained tuple-at-a-time through the run cursor versus batch-at-a-time
-// through the block scan, and the readahead producer on versus off.
+// drained batch-at-a-time through the block scan, and the readahead producer
+// on versus off.
 func BenchmarkStoredScan(b *testing.B) {
-	b.Run("tuple", ScanStoredTuple)
 	b.Run("batch", ScanStoredBatch)
 	b.Run("readahead-on", ScanReadaheadOn)
 	b.Run("readahead-off", ScanReadaheadOff)

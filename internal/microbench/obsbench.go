@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -30,7 +29,7 @@ func obsChainDrain(b *testing.B, o *obs.Obs) {
 		batch := relation.GetBatch()
 		rows := 0
 		for {
-			n, err := engine.FillBatch(it, batch)
+			n, err := it.NextBatch(batch)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -51,14 +51,12 @@ func (m *morselSource) NextBatch(dst *relation.Batch) (int, error) {
 		dst.Rewind()
 		return 0, nil
 	}
-	n, err := engine.FillBatch(m.src, dst)
+	n, err := m.src.NextBatch(dst)
 	if err == nil && n == 0 {
 		m.eos = true
 	}
 	return n, err
 }
-
-func (m *morselSource) Next() (relation.Tuple, bool, error) { return m.src.Next() }
 
 // parallelChain drains the chain with a pool of workers pulling morsels from
 // a shared source, each through its own select→project operators (per-op =
@@ -93,7 +91,7 @@ func parallelChain(b *testing.B, workers int) {
 				batch := relation.GetBatch()
 				rows := int64(0)
 				for {
-					n, err := engine.FillBatch(it, batch)
+					n, err := it.NextBatch(batch)
 					if err != nil {
 						mu.Lock()
 						fail = err
@@ -194,7 +192,7 @@ func partitionedJoin(b *testing.B, workers int) {
 				batch := relation.GetBatch()
 				rows := int64(0)
 				for {
-					n, err := engine.FillBatch(j, batch)
+					n, err := j.NextBatch(batch)
 					if err != nil {
 						mu.Lock()
 						fail = err

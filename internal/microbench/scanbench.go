@@ -13,144 +13,83 @@ import (
 )
 
 // Stored-scan benchmarks: a posix-resident synthetic table (string key,
-// int64 value, 16-byte string payload) drained tuple-at-a-time through the
-// legacy run cursor versus batch-at-a-time through the block scan, plus the
-// readahead producer on and off. They price the streaming scan engine
-// against the path it replaced — the scaling gate holds the batched path to
-// >= 2x the cursor path's throughput.
+// int64 value, 16-byte string payload) drained batch-at-a-time through the
+// block scan, with the readahead producer at its default depth, on, and off.
+// The benchmark gate holds ScanStoredBatch to its recorded ns/op.
 
 // scanRows sizes the stored-scan benchmark table: ~300KB encoded at the
 // 16-byte synthetic payload, a handful of 64KiB blocks per drain.
 const scanRows = 8192
 
-// cursorOnlyBackend hides the BlockBackend upgrade of the wrapped backend,
-// forcing table scans down the tuple-at-a-time cursor fallback.
-type cursorOnlyBackend struct {
-	storage.Backend
-}
-
-// scanTables lazily generates the benchmark table twice on posix — once
-// block-readable, once behind the cursor-only wrapper — so both paths read
-// identical bytes from disk.
+// scanStore lazily generates the benchmark table on posix.
 var (
-	scanOnce        sync.Once
-	scanBlockStore  *dataset.Store
-	scanCursorStore *dataset.Store
-	scanErr         error
+	scanOnce  sync.Once
+	scanStore *dataset.Store
+	scanErr   error
 )
 
-func scanSetup() (*dataset.Store, *dataset.Store, error) {
+func scanSetup() (*dataset.Store, error) {
 	scanOnce.Do(func() {
-		for i, out := range []**dataset.Store{&scanBlockStore, &scanCursorStore} {
-			dir, err := os.MkdirTemp("", "dqp-scanbench-")
-			if err != nil {
-				scanErr = err
-				return
-			}
-			posix, err := storage.NewPosix(dir)
-			if err != nil {
-				scanErr = err
-				return
-			}
-			var backend storage.Backend = posix
-			if i == 1 {
-				backend = cursorOnlyBackend{Backend: posix}
-			}
-			tbl, err := dataset.WriteSynthetic(backend, "base/scanbench", dataset.SyntheticSpec{Name: "scanbench", Rows: scanRows, PayloadBytes: 16, Seed: 5})
-			if err != nil {
-				scanErr = err
-				return
-			}
-			s := dataset.NewStore()
-			s.Add(tbl)
-			*out = s
+		dir, err := os.MkdirTemp("", "dqp-scanbench-")
+		if err != nil {
+			scanErr = err
+			return
 		}
+		posix, err := storage.NewPosix(dir)
+		if err != nil {
+			scanErr = err
+			return
+		}
+		tbl, err := dataset.WriteSynthetic(posix, "base/scanbench", dataset.SyntheticSpec{Name: "scanbench", Rows: scanRows, PayloadBytes: 16, Seed: 5})
+		if err != nil {
+			scanErr = err
+			return
+		}
+		scanStore = dataset.NewStore()
+		scanStore.Add(tbl)
 	})
-	return scanBlockStore, scanCursorStore, scanErr
+	return scanStore, scanErr
 }
 
-// drainScan opens a fresh scan over store and drains it, tuple- or
-// batch-at-a-time. Unlike the zero-cost operator chains, the scan runs under
-// the default cost model: per-tuple cost accounting — the byte-size walk,
-// the perturbation lookup, the meter round trip — is part of what the
-// batched path amortizes into one bundled charge per batch, exactly as in
-// production fragments. The modelled virtual cost is identical either way;
-// the nanosecond clock scale keeps its real duration negligible.
-func drainScan(b *testing.B, store *dataset.Store, readahead int, batched bool) {
-	b.Helper()
-	ctx := chainCtx()
-	ctx.Costs = engine.DefaultCosts()
-	ctx.Store = store
-	ctx.Readahead = readahead
-	scan := &engine.TableScan{Table: "scanbench"}
-	if err := scan.Open(ctx); err != nil {
-		b.Fatal(err)
-	}
-	rows := 0
-	if batched {
-		batch := relation.NewBatch(1024)
-		for {
-			n, err := scan.NextBatch(batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			rows += n
-		}
-	} else {
-		for {
-			_, ok, err := scan.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows++
-		}
-	}
-	if err := scan.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if rows != scanRows {
-		b.Fatalf("scanned %d rows, want %d", rows, scanRows)
-	}
-}
-
-// scanBench is the shared harness of the four stored-scan benchmarks.
-func scanBench(b *testing.B, cursor bool, readahead int, batched bool) {
-	blockStore, cursorStore, err := scanSetup()
+// scanBench drains a fresh scan over the posix table per op. Unlike the
+// zero-cost operator chains, the scan runs under the default cost model:
+// the per-batch cost accounting — the byte-size bookkeeping, the
+// perturbation lookup, the meter round trip — is part of what production
+// fragments pay; the nanosecond clock scale keeps the modelled cost's real
+// duration negligible.
+func scanBench(b *testing.B, readahead int) {
+	store, err := scanSetup()
 	if err != nil {
 		b.Fatal(err)
-	}
-	store := blockStore
-	if cursor {
-		store = cursorStore
 	}
 	ballast := make([]byte, ballastBytes)
 	defer runtime.KeepAlive(ballast)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drainScan(b, store, readahead, batched)
+		ctx := chainCtx()
+		ctx.Costs = engine.DefaultCosts()
+		ctx.Store = store
+		ctx.Readahead = readahead
+		rows, err := drainRows(&engine.TableScan{Table: "scanbench"}, ctx, relation.NewBatch(1024))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows != scanRows {
+			b.Fatalf("scanned %d rows, want %d", rows, scanRows)
+		}
 	}
 	b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
 }
 
-// ScanStoredTuple drains the posix table tuple-at-a-time through the legacy
-// run cursor (per-op = one full drain of scanRows tuples).
-func ScanStoredTuple(b *testing.B) { scanBench(b, true, 0, false) }
-
 // ScanStoredBatch drains the posix table batch-at-a-time through the block
 // scan with default readahead (per-op = one full drain of scanRows tuples).
-func ScanStoredBatch(b *testing.B) { scanBench(b, false, 0, true) }
+func ScanStoredBatch(b *testing.B) { scanBench(b, 0) }
 
 // ScanReadaheadOn drains the block scan with the double-buffering readahead
 // producer on (per-op = one full drain of scanRows tuples).
-func ScanReadaheadOn(b *testing.B) { scanBench(b, false, 2, true) }
+func ScanReadaheadOn(b *testing.B) { scanBench(b, 2) }
 
 // ScanReadaheadOff drains the block scan synchronously, readahead disabled
 // (per-op = one full drain of scanRows tuples).
-func ScanReadaheadOff(b *testing.B) { scanBench(b, false, -1, true) }
+func ScanReadaheadOff(b *testing.B) { scanBench(b, -1) }

@@ -51,21 +51,10 @@ func SpillJoin(b *testing.B) {
 			BuildKeys: []int{0}, ProbeKeys: []int{0},
 			BuildEst: joinBuildRows,
 		}
-		if err := j.Open(ctx); err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			_, ok, err := j.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows++
-		}
-		if err := j.Close(); err != nil {
+		batch := relation.GetBatch()
+		rows, err := drainRows(j, ctx, batch)
+		batch.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 		if rows != joinProbeRows {
@@ -109,21 +98,10 @@ func ExternalSort(b *testing.B) {
 			Child: engine.NewSliceSource(sortRelation, 0),
 			Ords:  []int{0}, Desc: []bool{false},
 		}
-		if err := s.Open(ctx); err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			_, ok, err := s.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows++
-		}
-		if err := s.Close(); err != nil {
+		batch := relation.GetBatch()
+		rows, err := drainRows(s, ctx, batch)
+		batch.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 		if rows != sortRows {

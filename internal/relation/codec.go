@@ -102,7 +102,7 @@ func DecodeTuple(b []byte) (Tuple, []byte, error) {
 	if err != nil {
 		return nil, b, err
 	}
-	return decodeValues(make(Tuple, 0, preallocCount(n)), n, b, "")
+	return decodeValues(make(Tuple, 0, preallocCount(n)), n, b)
 }
 
 // DecodeTupleInto decodes one tuple from the front of b like DecodeTuple,
@@ -115,32 +115,19 @@ func DecodeTupleInto(a *Arena, b []byte) (Tuple, []byte, error) {
 	if err != nil {
 		return nil, b, err
 	}
-	return decodeValues(a.Alloc(preallocCount(n))[:0], n, b, "")
+	return decodeValues(a.Alloc(preallocCount(n))[:0], n, b)
 }
 
-// DecodeTupleShared decodes one tuple from the front of b like
-// DecodeTupleInto, with one more allocation removed: string values are
-// carved as substrings of base — the enclosing block's one-time string
-// conversion — instead of being copied into fresh allocations. base must be
-// the string conversion of the byte sequence b is an unconsumed suffix of
-// (value offsets are derived as len(base)-len(b)). Carved tuples share
-// base's backing, so retaining a tuple keeps its whole block's string
-// alive; batch scans that decode hundreds of tuples per block and hand them
-// to consuming operators take that trade for a per-block rather than
-// per-value allocation count.
-func DecodeTupleShared(a *Arena, base string, b []byte) (Tuple, []byte, error) {
-	n, b, err := tupleHeader(b)
-	if err != nil {
-		return nil, b, err
-	}
-	return decodeValues(a.Alloc(preallocCount(n))[:0], n, b, base)
-}
-
-// DecodeTuplesShared is the vectorized form of DecodeTupleShared: it decodes
-// tuples from the front of b straight into dst until dst is full or left
-// tuples have been decoded, carving value slots from the arena and strings
-// from base. Unlike DecodeTupleShared, base is mandatory here: it must be
-// the string conversion of the byte sequence b is an unconsumed suffix of.
+// DecodeTuplesShared decodes tuples from the front of b straight into dst
+// until dst is full or left tuples have been decoded, carving value slots
+// from the arena and string values as substrings of base — the enclosing
+// block's one-time string conversion — instead of copying each into a fresh
+// allocation. base must be the string conversion of the byte sequence b is
+// an unconsumed suffix of (value offsets are derived as len(base)-len(b)).
+// Carved tuples share base's backing, so retaining a tuple keeps its whole
+// block's string alive: block scans that decode hundreds of tuples per
+// block take that trade for a per-block rather than per-value allocation
+// count.
 // sizes, when non-nil, is extended with the encoded byte size of each
 // appended tuple (the scan cost model's per-tuple input) and returned; pass
 // nil when sizes are not needed. The whole header/value loop is fused and
@@ -258,10 +245,7 @@ func tupleHeader(b []byte) (uint64, []byte, error) {
 }
 
 // decodeValues appends n decoded values to t (pre-sized by the caller).
-// When base is non-empty it must be the string conversion of the sequence b
-// is a suffix of; string values are then carved from base instead of
-// allocated (see DecodeTupleShared).
-func decodeValues(t Tuple, n uint64, b []byte, base string) (Tuple, []byte, error) {
+func decodeValues(t Tuple, n uint64, b []byte) (Tuple, []byte, error) {
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
 			return nil, b, fmt.Errorf("%w: truncated value", ErrCorrupt)
@@ -290,12 +274,7 @@ func decodeValues(t Tuple, n uint64, b []byte, base string) (Tuple, []byte, erro
 				return nil, b, fmt.Errorf("%w: bad string length", ErrCorrupt)
 			}
 			b = b[sz:]
-			if base != "" {
-				off := len(base) - len(b)
-				t = append(t, String(base[off:off+int(l)]))
-			} else {
-				t = append(t, String(string(b[:l])))
-			}
+			t = append(t, String(string(b[:l])))
 			b = b[l:]
 		default:
 			return nil, b, fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag)

@@ -11,15 +11,15 @@ import (
 	"repro/internal/relation"
 )
 
-// blockBackends returns one fresh instance of every BlockBackend
+// blockBackends returns one fresh instance of every Backend
 // implementation.
-func blockBackends(t *testing.T) map[string]BlockBackend {
+func blockBackends(t *testing.T) map[string]Backend {
 	t.Helper()
 	posix, err := NewPosix(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]BlockBackend{"memory": NewMemory(), "posix": posix}
+	return map[string]Backend{"memory": NewMemory(), "posix": posix}
 }
 
 // writeRun writes and seals tuples as the named run.
